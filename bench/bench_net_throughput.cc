@@ -24,6 +24,8 @@
 //
 // The run ends with a restart check: the server is torn down, the
 // store is recovered, and the same alert must notify the same users.
+// The store lives in a fresh /tmp/bench_net_XXXXXX directory, removed
+// once the final server has stopped.
 //
 // Emits BENCH_net_throughput.json (see bench/README.md).
 //
@@ -51,6 +53,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -544,6 +547,11 @@ int main(int argc, char** argv) {
             << ", identical notified set\n";
 
   const net::ServerStats stats = server->stats();
+  // The server owns the store: stopping it closes the log, after which
+  // the whole store directory can go.
+  server->Stop();
+  server.reset();
+  std::filesystem::remove_all(dir);
   JsonWriter json_params;
   json_params.Integer("users", uint64_t(params.users));
   json_params.Integer("clients", uint64_t(params.clients));

@@ -12,9 +12,10 @@
 //     the per-key G_T comb for A^s vs the generic paths.
 //
 // The field layer underneath reports which Montgomery kernel is engaged
-// (generic vs unrolled CIOS 4x64/6x64/8x64, portable u128 vs BMI2/ADX
-// intrinsic); at --pbits=120 and above the field prime spans 4 limbs
-// and the fixed-width kernels carry every engine. Runs the real
+// (generic vs unrolled CIOS 1x64/2x64/3x64/4x64/6x64/8x64, portable
+// u128 vs BMI2/ADX intrinsic); the field prime spans 2 limbs at
+// --pbits=32 and 4 limbs at --pbits=120, and a fixed-width kernel
+// carries every engine at both. Runs the real
 // ProcessAlert scan through all ServiceProvider engines and checks the
 // notified sets are identical, re-runs the batched scan with kernel
 // dispatch forced to the generic tier and checks THAT notified set too
@@ -149,9 +150,10 @@ int Run(int argc, char** argv) {
   std::printf("field prime: %zu bits (%zu limbs), %s kernel (dispatch %s)\n",
               group->params().field_p.BitLength(), group->fp().num_limbs(),
               kernel, kernel_dispatch);
-  // Kernel-selection assert: 4/6/8-limb fields must run fixed-width.
+  // Kernel-selection assert: 1/2/3/4/6/8-limb fields must run
+  // fixed-width.
   const size_t field_limbs = group->fp().num_limbs();
-  if (field_limbs == 4 || field_limbs == 6 || field_limbs == 8) {
+  if (field_limbs <= 4 || field_limbs == 6 || field_limbs == 8) {
     SLOC_CHECK(group->fp().mul_kernel() != MulKernel::kGeneric)
         << "fixed-width field kernel not engaged";
   }
@@ -290,7 +292,8 @@ int Run(int argc, char** argv) {
     Montgomery::Elem reference_value;
     bool have_reference = false;
     for (MulKernel k :
-         {MulKernel::kGeneric, MulKernel::kCios4, MulKernel::kCios6,
+         {MulKernel::kGeneric, MulKernel::kCios1, MulKernel::kCios2,
+          MulKernel::kCios3, MulKernel::kCios4, MulKernel::kCios6,
           MulKernel::kCios8, MulKernel::kCios4Adx, MulKernel::kCios6Adx,
           MulKernel::kCios8Adx}) {
       auto ctx = Montgomery::Create(p, k);

@@ -7,20 +7,26 @@
 // Multiplication dispatches to one of several kernels, chosen once at
 // Create() from the modulus width and the running CPU:
 //  * kGeneric — variable-width operand scanning + separate REDC pass
-//    (any width; allocates a temporary product row per call),
-//  * kCios4 / kCios6 / kCios8 — coarsely-integrated operand scanning
-//    (CIOS) with the limb loops unrolled at compile time for exactly
-//    4, 6 or 8 64-bit limbs (256- / 384- / 512-bit moduli, the
-//    production parameter sizes). The whole product lives in
-//    registers / stack words, no heap traffic, and squaring uses a
-//    dedicated kernel that computes each symmetric cross term once.
+//    (any width). The reference oracle: automatic selection reaches it
+//    only under KernelDispatch::kGenericOnly or for moduli wider than
+//    8 limbs (or 5 / 7 limbs, which no parameter set uses).
+//  * kCios1 / kCios2 / kCios3 / kCios4 / kCios6 / kCios8 —
+//    coarsely-integrated operand scanning (CIOS) with the limb loops
+//    unrolled at compile time for exactly 1, 2, 3, 4, 6 or 8 64-bit
+//    limbs. 1-3 limbs cover the demo and test fields (a 32-bit
+//    prime_bits group has a 2-limb field); 4/6/8 limbs are the
+//    256- / 384- / 512-bit production sizes. The whole product lives
+//    in registers / stack words, no heap traffic. Squaring uses a
+//    dedicated kernel that computes each symmetric cross term once,
+//    except at 2 and 3 limbs, where the multiply kernel measured faster.
 //    Portable u128 code.
-//  * kCios4Adx / kCios6Adx / kCios8Adx — the same widths through the
-//    BMI2/ADX intrinsic kernels (bigint/cios_x86.h: MULX plus dual
+//  * kCios4Adx / kCios6Adx / kCios8Adx — the 4/6/8-limb widths through
+//    the BMI2/ADX intrinsic kernels (bigint/cios_x86.h: MULX plus dual
 //    ADCX/ADOX carry chains). Selected automatically when the cpuid
 //    probe (common/cpu.h, cached on first use) reports BMI2 + ADX and
 //    the kernels were compiled in (x86-64, not SLOC_NO_INTRINSICS);
-//    the u128 kernels remain the portable fallback.
+//    the u128 kernels remain the portable fallback. 1-3 limbs have no
+//    intrinsic variant.
 // All kernels produce bit-identical canonical representatives, so the
 // choice is invisible to callers (Fp, Fp2, Curve, the Miller loop).
 // Tests and benches can force a kernel via the Create overload, or
@@ -42,6 +48,9 @@ namespace sloc {
 /// Which multiplication kernel a Montgomery context runs.
 enum class MulKernel {
   kGeneric,   ///< variable-width schoolbook + REDC (any limb count)
+  kCios1,     ///< unrolled u128 CIOS for 1x64 limb (64-bit moduli)
+  kCios2,     ///< unrolled u128 CIOS for 2x64 limbs (128-bit moduli)
+  kCios3,     ///< unrolled u128 CIOS for 3x64 limbs (192-bit moduli)
   kCios4,     ///< unrolled u128 CIOS for 4x64 limbs (256-bit moduli)
   kCios6,     ///< unrolled u128 CIOS for 6x64 limbs (384-bit moduli)
   kCios8,     ///< unrolled u128 CIOS for 8x64 limbs (512-bit moduli)
@@ -89,10 +98,11 @@ class Montgomery {
   using Elem = LimbVec;
 
   /// Error unless modulus is odd and > 1. Selects the fixed-width
-  /// kernel matching the modulus limb count (4/6/8 limbs), preferring
-  /// the BMI2/ADX intrinsic variant when the (cached) cpuid probe
-  /// reports support; generic otherwise. SetMulKernelDispatch can
-  /// force the portable or generic tier process-wide.
+  /// kernel matching the modulus limb count (1/2/3/4/6/8 limbs),
+  /// preferring the BMI2/ADX intrinsic variant at 4/6/8 limbs when the
+  /// (cached) cpuid probe reports support; generic for any other
+  /// width. SetMulKernelDispatch can force the portable or generic
+  /// tier process-wide.
   static Result<Montgomery> Create(const BigInt& modulus);
 
   /// Create with an explicit kernel (equivalence tests / benchmarks).
@@ -127,8 +137,8 @@ class Montgomery {
   void Neg(const Elem& a, Elem* out) const;
   /// out = a * b * R^-1 mod N (Montgomery product).
   void Mul(const Elem& a, const Elem& b, Elem* out) const;
-  /// out = a^2 * R^-1 mod N. Fixed-width kernels compute each symmetric
-  /// cross term once (~half the limb products of Mul).
+  /// out = a^2 * R^-1 mod N. The 1/4/6/8-limb kernels compute each
+  /// symmetric cross term once (~half the limb products of Mul).
   void Sqr(const Elem& a, Elem* out) const;
   /// Doubles in place semantics: out = 2a mod N.
   void Dbl(const Elem& a, Elem* out) const { Add(a, a, out); }

@@ -27,7 +27,7 @@ class Fp {
   const BigInt& p() const { return mont_->modulus(); }
   size_t num_limbs() const { return mont_->num_limbs(); }
   /// The Montgomery multiplication kernel backing this field (fixed
-  /// width CIOS for 4- and 8-limb primes, generic otherwise).
+  /// width CIOS for 1/2/3/4/6/8-limb primes, generic otherwise).
   MulKernel mul_kernel() const { return mont_->kernel(); }
 
   Elem Zero() const { return mont_->Zero(); }

@@ -3,7 +3,8 @@
 // per-query reference engine — same notified users, same deterministic
 // MatchStats — across shardings, worker counts, and flush widths; and
 // the provider's precompiled-token LRU cache must preserve match results
-// under eviction.
+// under eviction. The same holds across multiplication kernels: a group
+// rebuilt on the generic reference kernel scans identically.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "alert/protocol.h"
+#include "bigint/montgomery.h"
 #include "prob/sigmoid.h"
 
 namespace sloc {
@@ -21,13 +23,17 @@ class BatchEngineTest : public ::testing::Test {
  protected:
   static constexpr int kUsers = 30;
 
-  void SetUp() override {
+  static PairingParamSpec Spec() {
     PairingParamSpec spec;
     spec.p_prime_bits = 32;
     spec.q_prime_bits = 32;
     spec.seed = 2024;
+    return spec;
+  }
+
+  void SetUp() override {
     group_ = std::make_shared<const PairingGroup>(
-        PairingGroup::Generate(spec).value());
+        PairingGroup::Generate(Spec()).value());
     auto encoder = MakeEncoder(EncoderKind::kHuffman).value();
     Rng prng(17);
     ASSERT_TRUE(
@@ -213,6 +219,43 @@ TEST_F(BatchEngineTest, DuplicateTokensInBundleCompileOnce) {
   // The duplicate half of the bundle shares tables with the first half.
   EXPECT_EQ(batched->token_cache().size(), tokens_.size());
   EXPECT_EQ(batched->token_cache().misses(), tokens_.size());
+}
+
+// The fixture's 2-limb field runs the fixed-width cios2 kernel under
+// auto dispatch. Rebuilding the same group with dispatch forced to the
+// generic reference kernel must not change a single scan outcome on
+// the same ciphertext and token bytes.
+TEST_F(BatchEngineTest, GenericKernelGroupScansIdentically) {
+  ASSERT_EQ(group_->fp().num_limbs(), 2u);
+  ASSERT_EQ(group_->fp().mul_kernel(), MulKernel::kCios2);
+  SetMulKernelDispatch(KernelDispatch::kGenericOnly);
+  auto generic_group = std::make_shared<const PairingGroup>(
+      PairingGroup::Generate(Spec()).value());
+  SetMulKernelDispatch(KernelDispatch::kAuto);
+  ASSERT_EQ(generic_group->fp().mul_kernel(), MulKernel::kGeneric);
+  ASSERT_EQ(generic_group->params().field_p, group_->params().field_p);
+
+  for (ServiceProvider::QueryEngine engine :
+       {ServiceProvider::QueryEngine::kReference,
+        ServiceProvider::QueryEngine::kBatched}) {
+    ServiceProvider::Options options;
+    options.engine = engine;
+    auto fixed = MakeProvider(options);
+    ServiceProvider generic(generic_group, ta_->marker(), options);
+    ASSERT_TRUE(generic.SubmitBatch(uploads_).rejected.empty());
+    const auto want = fixed->ProcessAlert(tokens_).value();
+    const auto got = generic.ProcessAlert(tokens_).value();
+    ASSERT_GT(want.stats.matches, 0u);
+    EXPECT_EQ(got.notified_users, want.notified_users);
+    EXPECT_EQ(got.stats.ciphertexts_scanned, want.stats.ciphertexts_scanned);
+    EXPECT_EQ(got.stats.tokens, want.stats.tokens);
+    EXPECT_EQ(got.stats.non_star_bits, want.stats.non_star_bits);
+    EXPECT_EQ(got.stats.pairings, want.stats.pairings);
+    EXPECT_EQ(got.stats.queries, want.stats.queries);
+    EXPECT_EQ(got.stats.matches, want.stats.matches);
+    EXPECT_EQ(got.stats.token_cache_hits, want.stats.token_cache_hits);
+    EXPECT_EQ(got.stats.token_cache_misses, want.stats.token_cache_misses);
+  }
 }
 
 TEST_F(BatchEngineTest, TokenCacheCapacityZeroDisablesRetention) {

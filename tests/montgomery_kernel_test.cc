@@ -1,9 +1,10 @@
 // Randomized cross-width equivalence suite for the Montgomery
 // multiplication kernels: the generic variable-width path vs the
-// compile-time-unrolled 4x64/6x64/8x64 CIOS kernels (portable u128 and
-// BMI2/ADX intrinsic variants) must produce bit-identical Montgomery
-// representatives for Mul, Sqr and Pow over random odd moduli,
-// including carry-stressing edge values. Intrinsic cases skip cleanly
+// compile-time-unrolled 1x64/2x64/3x64/4x64/6x64/8x64 CIOS kernels
+// (portable u128, plus BMI2/ADX intrinsic variants at 4/6/8 limbs) must
+// produce bit-identical Montgomery representatives for Mul, Sqr and Pow
+// over random odd moduli, carry-stressing and top-bit-only moduli, and
+// (at one limb) the smallest odd moduli. Intrinsic cases skip cleanly
 // on hardware (or builds) without BMI2/ADX.
 
 #include <gtest/gtest.h>
@@ -32,6 +33,11 @@ BigInt RandomOddModulus(size_t limbs, const RandFn& rand) {
   return m;
 }
 
+// Whether auto dispatch has a BMI2/ADX kernel to pick at this width.
+bool HasIntrinsicWidth(size_t limbs) {
+  return limbs == 4 || limbs == 6 || limbs == 8;
+}
+
 struct KernelCase {
   size_t limbs;
   MulKernel fixed;
@@ -51,10 +57,11 @@ TEST_P(MontgomeryKernelTest, AutoSelectionPicksFixedWidth) {
   BigInt m = RandomOddModulus(GetParam().limbs, rand);
   auto auto_ctx = Montgomery::Create(m).value();
   // Auto dispatch picks the intrinsic kernel of this width when the CPU
-  // supports it, the portable u128 kernel otherwise — never generic for
-  // a 4/6/8-limb modulus.
+  // supports it and one exists, the portable u128 kernel otherwise —
+  // never generic for a 1/2/3/4/6/8-limb modulus.
   EXPECT_EQ(MulKernelWidth(auto_ctx.kernel()), GetParam().limbs);
-  EXPECT_EQ(MulKernelIsIntrinsic(auto_ctx.kernel()), cios_x86::Available());
+  EXPECT_EQ(MulKernelIsIntrinsic(auto_ctx.kernel()),
+            cios_x86::Available() && HasIntrinsicWidth(GetParam().limbs));
   // The generic kernel stays available for the same modulus.
   auto generic = Montgomery::Create(m, MulKernel::kGeneric);
   ASSERT_TRUE(generic.ok());
@@ -93,29 +100,32 @@ TEST_P(MontgomeryKernelTest, MulSqrMatchGenericOverRandomModuli) {
 TEST_P(MontgomeryKernelTest, CarryStressEdgeValues) {
   const size_t limbs = GetParam().limbs;
   RandFn rand = TestRand(77 + limbs);
-  // Modulus just below 2^(64*limbs): maximizes carry chains in the
-  // reduction; values at 0, 1, N-1 hit the boundary paths.
-  BigInt m = (BigInt(1) << (64 * limbs)) - BigInt(189);  // odd
-  ASSERT_TRUE(m.IsOdd());
-  ASSERT_EQ(m.NumLimbs(), limbs);
-  auto fixed = Montgomery::Create(m, GetParam().fixed).value();
-  auto generic = Montgomery::Create(m, MulKernel::kGeneric).value();
-  std::vector<BigInt> edges = {BigInt(0), BigInt(1), BigInt(2),
-                               m - BigInt(1), m - BigInt(2),
-                               (m - BigInt(1)) >> 1};
-  for (int i = 0; i < 6; ++i) edges.push_back(BigInt::RandomBelow(m, rand));
-  for (const BigInt& a : edges) {
-    for (const BigInt& b : edges) {
-      Montgomery::Elem fm, gm;
-      fixed.Mul(fixed.ToMont(a), fixed.ToMont(b), &fm);
-      generic.Mul(generic.ToMont(a), generic.ToMont(b), &gm);
-      EXPECT_EQ(fm, gm);
-      EXPECT_EQ(fixed.FromMont(fm), BigInt::ModMul(a, b, m));
+  // Modulus just below 2^(64*limbs) maximizes carry chains in the
+  // reduction; the top-bit-only modulus 2^(64*limbs-1) + 1 has all-zero
+  // middle limbs. Values at 0, 1, N-1 hit the boundary paths.
+  for (const BigInt& m : {(BigInt(1) << (64 * limbs)) - BigInt(189),
+                          (BigInt(1) << (64 * limbs - 1)) + BigInt(1)}) {
+    ASSERT_TRUE(m.IsOdd());
+    ASSERT_EQ(m.NumLimbs(), limbs);
+    auto fixed = Montgomery::Create(m, GetParam().fixed).value();
+    auto generic = Montgomery::Create(m, MulKernel::kGeneric).value();
+    std::vector<BigInt> edges = {BigInt(0), BigInt(1), BigInt(2),
+                                 m - BigInt(1), m - BigInt(2),
+                                 (m - BigInt(1)) >> 1};
+    for (int i = 0; i < 6; ++i) edges.push_back(BigInt::RandomBelow(m, rand));
+    for (const BigInt& a : edges) {
+      for (const BigInt& b : edges) {
+        Montgomery::Elem fm, gm;
+        fixed.Mul(fixed.ToMont(a), fixed.ToMont(b), &fm);
+        generic.Mul(generic.ToMont(a), generic.ToMont(b), &gm);
+        EXPECT_EQ(fm, gm);
+        EXPECT_EQ(fixed.FromMont(fm), BigInt::ModMul(a, b, m));
+      }
+      Montgomery::Elem fs, gs;
+      fixed.Sqr(fixed.ToMont(a), &fs);
+      generic.Sqr(generic.ToMont(a), &gs);
+      EXPECT_EQ(fs, gs);
     }
-    Montgomery::Elem fs, gs;
-    fixed.Sqr(fixed.ToMont(a), &fs);
-    generic.Sqr(generic.ToMont(a), &gs);
-    EXPECT_EQ(fs, gs);
   }
 }
 
@@ -179,7 +189,10 @@ TEST_P(MontgomeryKernelTest, IntrinsicMatchesPortableTwin) {
 
 INSTANTIATE_TEST_SUITE_P(
     Widths, MontgomeryKernelTest,
-    ::testing::Values(KernelCase{4, MulKernel::kCios4},
+    ::testing::Values(KernelCase{1, MulKernel::kCios1},
+                      KernelCase{2, MulKernel::kCios2},
+                      KernelCase{3, MulKernel::kCios3},
+                      KernelCase{4, MulKernel::kCios4},
                       KernelCase{6, MulKernel::kCios6},
                       KernelCase{8, MulKernel::kCios8},
                       KernelCase{4, MulKernel::kCios4Adx},
@@ -192,15 +205,47 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MontgomeryKernelSelection, MismatchedWidthRejected) {
   RandFn rand = TestRand(9);
   BigInt m5 = RandomOddModulus(5, rand);
+  EXPECT_FALSE(Montgomery::Create(m5, MulKernel::kCios1).ok());
+  EXPECT_FALSE(Montgomery::Create(m5, MulKernel::kCios3).ok());
   EXPECT_FALSE(Montgomery::Create(m5, MulKernel::kCios4).ok());
   EXPECT_FALSE(Montgomery::Create(m5, MulKernel::kCios6).ok());
   EXPECT_FALSE(Montgomery::Create(m5, MulKernel::kCios8).ok());
   EXPECT_FALSE(Montgomery::Create(m5, MulKernel::kCios4Adx).ok());
   EXPECT_TRUE(Montgomery::Create(m5, MulKernel::kGeneric).ok());
-  // Non-4/6/8-limb moduli auto-select the generic kernel.
+  EXPECT_FALSE(Montgomery::Create(BigInt(97), MulKernel::kCios2).ok());
+  // A 5-limb modulus has no fixed-width kernel: auto selects generic.
   EXPECT_EQ(Montgomery::Create(m5).value().kernel(), MulKernel::kGeneric);
+  // A one-limb modulus auto-selects the one-limb kernel.
   EXPECT_EQ(Montgomery::Create(BigInt(97)).value().kernel(),
-            MulKernel::kGeneric);
+            MulKernel::kCios1);
+}
+
+// The smallest odd moduli, exhaustively: every residue pair mod 3 and
+// mod 97 (R = 2^64 is far larger than N, the opposite corner from the
+// full-width moduli of the Widths suite).
+TEST(MontgomeryKernelSelection, SmallestOddModuliExhaustive) {
+  for (int64_t modulus : {int64_t{3}, int64_t{97}}) {
+    const BigInt m(modulus);
+    auto fixed = Montgomery::Create(m, MulKernel::kCios1).value();
+    auto generic = Montgomery::Create(m, MulKernel::kGeneric).value();
+    ASSERT_EQ(Montgomery::Create(m).value().kernel(), MulKernel::kCios1);
+    for (int64_t a = 0; a < modulus; ++a) {
+      const Montgomery::Elem fa = fixed.ToMont(BigInt(a));
+      ASSERT_EQ(fa, generic.ToMont(BigInt(a)));
+      Montgomery::Elem fs, gs;
+      fixed.Sqr(fa, &fs);
+      generic.Sqr(fa, &gs);
+      ASSERT_EQ(fs, gs) << "a=" << a << " mod " << modulus;
+      for (int64_t b = 0; b < modulus; ++b) {
+        const Montgomery::Elem fb = fixed.ToMont(BigInt(b));
+        Montgomery::Elem fm, gm;
+        fixed.Mul(fa, fb, &fm);
+        generic.Mul(fa, fb, &gm);
+        ASSERT_EQ(fm, gm) << a << "*" << b << " mod " << modulus;
+        ASSERT_EQ(fixed.FromMont(fm), BigInt(a * b % modulus));
+      }
+    }
+  }
 }
 
 TEST(MontgomeryKernelSelection, IntrinsicRequestHonorsCpuSupport) {
@@ -229,6 +274,20 @@ TEST(MontgomeryKernelSelection, DispatchPolicyForcesTier) {
   EXPECT_EQ(auto_ctx.kernel(), cios_x86::Available()
                                    ? MulKernel::kCios4Adx
                                    : MulKernel::kCios4);
+}
+
+// The 2-limb field of a 32-bit prime_bits group: portable CIOS under
+// kAuto and kPortableOnly (there is no intrinsic variant at 2 limbs),
+// generic only when forced.
+TEST(MontgomeryKernelSelection, TwoLimbDispatchPolicies) {
+  RandFn rand = TestRand(19);
+  BigInt m = RandomOddModulus(2, rand);
+  SetMulKernelDispatch(KernelDispatch::kGenericOnly);
+  EXPECT_EQ(Montgomery::Create(m).value().kernel(), MulKernel::kGeneric);
+  SetMulKernelDispatch(KernelDispatch::kPortableOnly);
+  EXPECT_EQ(Montgomery::Create(m).value().kernel(), MulKernel::kCios2);
+  SetMulKernelDispatch(KernelDispatch::kAuto);
+  EXPECT_EQ(Montgomery::Create(m).value().kernel(), MulKernel::kCios2);
 }
 
 // 384-bit moduli (6 limbs) must take a fixed-width fast path now — the
