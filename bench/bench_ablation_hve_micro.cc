@@ -122,65 +122,6 @@ BENCHMARK(BM_HveQueryByNonStar)
     ->Arg(32)
     ->Complexity(benchmark::oN);
 
-// Multi-pairing fast path vs the naive per-pairing final exponentiation.
-void BM_HveQueryMultiPairing(benchmark::State& state) {
-  const PairingGroup& group = SharedGroup();
-  RandFn rand = SeededRand(6);
-  const size_t width = 32;
-  const size_t non_star = size_t(state.range(0));
-  hve::KeyPair keys = hve::Setup(group, width, rand).value();
-  Fp2Elem marker = group.RandomGt(rand);
-  std::string index(width, '0');
-  hve::Ciphertext ct =
-      hve::Encrypt(group, keys.pk, index, marker, rand).value();
-  std::string pattern(width, '*');
-  for (size_t i = 0; i < non_star; ++i) pattern[i] = '0';
-  hve::Token tk = hve::GenToken(group, keys.sk, pattern, rand).value();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hve::QueryMultiPairing(group, tk, ct).value());
-  }
-  state.counters["pairings"] =
-      benchmark::Counter(double(hve::QueryPairingCost(tk)));
-  state.SetComplexityN(int64_t(hve::QueryPairingCost(tk)));
-}
-BENCHMARK(BM_HveQueryMultiPairing)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(32)
-    ->Complexity(benchmark::oN);
-
-// Precompiled token line tables: the per-ciphertext cost once the token
-// side's Miller chains have been run and flattened (the alert-scan
-// regime, where one token is evaluated against the whole store).
-void BM_HveQueryPrecompiled(benchmark::State& state) {
-  const PairingGroup& group = SharedGroup();
-  RandFn rand = SeededRand(7);
-  const size_t width = 32;
-  const size_t non_star = size_t(state.range(0));
-  hve::KeyPair keys = hve::Setup(group, width, rand).value();
-  Fp2Elem marker = group.RandomGt(rand);
-  std::string index(width, '0');
-  hve::Ciphertext ct =
-      hve::Encrypt(group, keys.pk, index, marker, rand).value();
-  std::string pattern(width, '*');
-  for (size_t i = 0; i < non_star; ++i) pattern[i] = '0';
-  hve::Token tk = hve::GenToken(group, keys.sk, pattern, rand).value();
-  hve::PrecompiledToken ptk = hve::PrecompileToken(group, tk);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hve::QueryPrecompiled(group, ptk, ct).value());
-  }
-  state.counters["pairings"] =
-      benchmark::Counter(double(hve::QueryPairingCost(tk)));
-  state.SetComplexityN(int64_t(hve::QueryPairingCost(tk)));
-}
-BENCHMARK(BM_HveQueryPrecompiled)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(32)
-    ->Complexity(benchmark::oN);
-
 // One-off cost of precompiling a token's line tables (amortized away by
 // the scan length).
 void BM_HvePrecompileToken(benchmark::State& state) {

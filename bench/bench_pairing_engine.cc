@@ -1,22 +1,23 @@
 // Pairing-engine ablation: quantifies the optimization layers against
 // the paper's dominant cost (HVE query evaluation).
 //
-//  1. shared-squaring multi-pairing (QueryMultiPairing) vs the
-//     per-pairing reference Query,
-//  2. precompiled per-token Miller line tables (QueryPrecompiled) vs
-//     both, amortized over an alert scan,
-//  3. batched final exponentiation (QueryEngine::kBatched): one shared
-//     Fp2 inversion per flush + deferred marker^-1 comparison on top of
-//     the precompiled tables,
-//  4. fixed-base comb tables for Encrypt's scalar multiplications and
+//  1. the batched engine (QueryEngine::kBatched) vs the per-pairing
+//     reference engine over a whole alert scan: per-alert precompiled
+//     token Miller line tables walked in one shared-squaring pass per
+//     query, plus batched final exponentiation — one shared Fp2
+//     inversion per flush and deferred marker^-1 comparison,
+//  2. batched final exponentiation on its own: one
+//     BatchFinalExponentiation vs per-entry FinalExponentiation over the
+//     scan's Miller ratios (checked bit-identical),
+//  3. fixed-base comb tables for Encrypt's scalar multiplications and
 //     the per-key G_T comb for A^s vs the generic paths.
 //
 // The field layer underneath reports which Montgomery kernel is engaged
 // (generic vs unrolled CIOS 1x64/2x64/3x64/4x64/6x64/8x64, portable
 // u128 vs BMI2/ADX intrinsic); the field prime spans 2 limbs at
 // --pbits=32 and 4 limbs at --pbits=120, and a fixed-width kernel
-// carries every engine at both. Runs the real
-// ProcessAlert scan through all ServiceProvider engines and checks the
+// carries both engines at both. Runs the real
+// ProcessAlert scan through both ServiceProvider engines and checks the
 // notified sets are identical, re-runs the batched scan with kernel
 // dispatch forced to the generic tier and checks THAT notified set too
 // (bit-identical match outcomes across kernels, asserted before CI's
@@ -215,8 +216,6 @@ int Run(int argc, char** argv) {
   for (auto [engine, name] :
        {std::pair<ServiceProvider::QueryEngine, const char*>{
             ServiceProvider::QueryEngine::kReference, "reference"},
-        {ServiceProvider::QueryEngine::kMultiPairing, "multipairing"},
-        {ServiceProvider::QueryEngine::kPrecompiled, "precompiled"},
         {ServiceProvider::QueryEngine::kBatched, "batched"}}) {
     sp.set_engine(engine);
     EngineRow row;
@@ -244,14 +243,65 @@ int Run(int argc, char** argv) {
     }
     rows.push_back(std::move(row));
   }
-  const double speedup_vs_multi =
-      rows[2].evals_per_sec / rows[1].evals_per_sec;
-  const double speedup_vs_ref =
-      rows[2].evals_per_sec / rows[0].evals_per_sec;
-  const double speedup_batched_vs_precomp =
-      rows[3].evals_per_sec / rows[2].evals_per_sec;
   const double speedup_batched_vs_ref =
-      rows[3].evals_per_sec / rows[0].evals_per_sec;
+      rows[1].evals_per_sec / rows[0].evals_per_sec;
+
+  // ---- Batched vs per-entry final exponentiation ----
+  //
+  // The Miller ratios of every (ciphertext, token) query, from the same
+  // precompiled-view path the batched scan runs, finished once per
+  // entry and once as one batch (best of 5 each). The two must be
+  // bit-identical. Their time ratio guards the shared inversion and
+  // cofactor ladder, a layer too small to move the end-to-end
+  // batched-vs-reference ratio past the gate's tolerance.
+  double single_fe_ms = 0.0, batch_fe_ms = 0.0;
+  size_t fe_entries = 0;
+  {
+    std::vector<hve::PrecompiledToken> compiled;
+    for (const auto& blob : token_blobs) {
+      compiled.push_back(hve::PrecompileToken(
+          *group, hve::ParseToken(*group, blob).value()));
+    }
+    std::vector<const hve::PrecompiledToken*> ptrs;
+    for (const hve::PrecompiledToken& ptk : compiled) ptrs.push_back(&ptk);
+    const hve::EvalLayout layout = hve::MakeEvalLayout(width, ptrs);
+    hve::QueryScratch scratch;
+    std::vector<Fp2Elem> ratios;
+    for (const api::LocationUpload& up : uploads) {
+      const hve::EvalView view =
+          hve::MakeEvalView(*group, layout,
+                            hve::ParseCiphertext(*group, up.ciphertext)
+                                .value())
+              .value();
+      for (const hve::PrecompiledToken& ptk : compiled) {
+        ratios.push_back(hve::QueryMillerPrecompiledView(*group, ptk, layout,
+                                                         view, &scratch)
+                             .value());
+      }
+    }
+    const Fp2& fp2 = group->fp2();
+    const BigInt& cofactor = group->params().cofactor;
+    std::vector<Fp2Elem> single(ratios.size()), batch;
+    for (int rep = 0; rep < 5; ++rep) {
+      WallTimer single_timer;
+      for (size_t i = 0; i < ratios.size(); ++i) {
+        single[i] = FinalExponentiation(fp2, ratios[i], cofactor);
+      }
+      const double single_ms = single_timer.Millis();
+      batch = ratios;
+      WallTimer batch_timer;
+      BatchFinalExponentiation(fp2, cofactor, &batch, &scratch.pairing);
+      const double batch_ms = batch_timer.Millis();
+      if (rep == 0 || single_ms < single_fe_ms) single_fe_ms = single_ms;
+      if (rep == 0 || batch_ms < batch_fe_ms) batch_fe_ms = batch_ms;
+    }
+    for (size_t i = 0; i < ratios.size(); ++i) {
+      SLOC_CHECK(batch[i].re == single[i].re && batch[i].im == single[i].im)
+          << "batched final exponentiation diverged at entry " << i;
+    }
+    fe_entries = ratios.size();
+  }
+  const double speedup_batch_final_exp = single_fe_ms / batch_fe_ms;
 
   // ---- Cross-kernel match-outcome equivalence ----
   //
@@ -385,11 +435,12 @@ int Run(int argc, char** argv) {
   }
   std::printf(
       "single Pair(): %.1f pairings/sec (field kernel: %s, dispatch %s)\n"
-      "precompiled vs multipairing: %.2fx, vs reference: %.2fx\n"
-      "batched vs precompiled: %.2fx, vs reference: %.2fx\n"
+      "batched vs reference: %.2fx\n"
+      "final exp over %zu ratios: %.3f ms per entry -> %.3f ms batched "
+      "(%.2fx)\n"
       "Encrypt: %.2f ms generic -> %.2f ms fixed-base (%.2fx)\n",
-      pair_per_sec, kernel, kernel_dispatch, speedup_vs_multi,
-      speedup_vs_ref, speedup_batched_vs_precomp, speedup_batched_vs_ref,
+      pair_per_sec, kernel, kernel_dispatch, speedup_batched_vs_ref,
+      fe_entries, single_fe_ms, batch_fe_ms, speedup_batch_final_exp,
       enc_naive_ms, enc_comb_ms, enc_naive_ms / enc_comb_ms);
 
   JsonWriter params;
@@ -425,10 +476,8 @@ int Run(int argc, char** argv) {
   root.Number("pairings_per_sec", pair_per_sec);
   root.Nested("fp_mul", fp_mul);
   root.Nested("alert_scan", scan);
-  root.Number("speedup_precompiled_vs_multipairing", speedup_vs_multi);
-  root.Number("speedup_precompiled_vs_reference", speedup_vs_ref);
-  root.Number("speedup_batched_vs_precompiled", speedup_batched_vs_precomp);
   root.Number("speedup_batched_vs_reference", speedup_batched_vs_ref);
+  root.Number("speedup_batch_final_exp", speedup_batch_final_exp);
   root.Nested("encrypt", encrypt);
   EmitJson("BENCH_pairing_engine", root, argc, argv);
   return 0;

@@ -5,12 +5,16 @@ Compares a fresh BENCH_pairing_engine.json against the checked-in
 bench/baseline.json and fails (exit 1) when any tracked metric regressed
 by more than the allowed fraction (default 25%).
 
-Tracked metrics are *within-run speedup ratios* (each engine's evals/sec
-divided by the same run's reference engine), so the gate is independent
-of the absolute speed of the CI runner: a slow machine slows every
-engine equally, but losing the batched final exponentiation or the CIOS
-kernels shows up as a collapsed ratio. The baseline additionally pins
-the field kernel the bench parameters are expected to engage.
+Tracked metrics are *within-run speedup ratios*, so the gate is
+independent of the absolute speed of the CI runner: a slow machine slows
+both sides of a ratio equally. speedup_batched_vs_reference is the
+batched engine's evals/sec over the same run's reference engine (losing
+the precompiled tables or the CIOS kernels collapses it);
+speedup_batch_final_exp is per-entry FinalExponentiation time over one
+BatchFinalExponentiation on the same Miller ratios (losing the shared
+inversion collapses it); encrypt_speedup guards the fixed-base combs.
+The baseline additionally pins the field kernel the bench parameters
+are expected to engage.
 
 Usage:
   check_regression.py CURRENT.json [BASELINE.json] [--tolerance=0.25]
@@ -25,9 +29,8 @@ import json
 import sys
 
 TRACKED = [
-    "speedup_precompiled_vs_reference",
     "speedup_batched_vs_reference",
-    "speedup_batched_vs_precompiled",
+    "speedup_batch_final_exp",
 ]
 
 

@@ -449,14 +449,17 @@ void Montgomery::Sqr(const Elem& a, Elem* out) const {
   out->resize(k_);
   uint64_t* r = out->data();
   switch (kernel_) {
+    // Up to 4 limbs the dedicated square saves at most six limb
+    // products and pays for them with the doubling pass and the
+    // data-dependent carry walk of its REDC: CiosMul(a, a) measured no
+    // slower (medians of 31 interleaved runs on a shared Xeon host,
+    // square vs multiply: 1 limb 34.0 vs 33.4 ns; 2 limbs 28.6 vs 18.6;
+    // 3 limbs 47 vs 41; 4 limbs 97 vs 72 with a full top limb and a tie
+    // at a 56-bit top limb). At 6 and 8 limbs the square wins (56-bit
+    // top limb: 152 vs 186 ns at 6, 275 vs 316 at 8) and stays.
     case MulKernel::kCios1:
-      CiosSqr<1>(a.data(), n_.data(), n0_inv_, r);
+      CiosMul<1>(a.data(), a.data(), n_.data(), n0_inv_, r);
       return;
-    // At 2 and 3 limbs the dedicated square saves only one or three
-    // limb products and pays for them with the doubling pass and the
-    // data-dependent carry walk of its REDC: CiosMul(a, a) measured
-    // faster (2-limb, 66-bit modulus, median of 31 interleaved runs on a
-    // shared Xeon host: 18.6 vs 28.6 ns per square; 3-limb: 41 vs 47).
     case MulKernel::kCios2:
       CiosMul<2>(a.data(), a.data(), n_.data(), n0_inv_, r);
       return;
@@ -464,7 +467,7 @@ void Montgomery::Sqr(const Elem& a, Elem* out) const {
       CiosMul<3>(a.data(), a.data(), n_.data(), n0_inv_, r);
       return;
     case MulKernel::kCios4:
-      CiosSqr<4>(a.data(), n_.data(), n0_inv_, r);
+      CiosMul<4>(a.data(), a.data(), n_.data(), n0_inv_, r);
       return;
     case MulKernel::kCios6:
       CiosSqr<6>(a.data(), n_.data(), n0_inv_, r);

@@ -24,7 +24,7 @@ namespace sloc {
 /// metric is `pairings`. `pairings` counts Miller loops actually
 /// executed (identity-short-circuited pairs are free and not charged);
 /// `precomp_pairings` is the subset served from precompiled line tables
-/// (the cache-hit counter of the multi-pairing engine).
+/// (the cache-hit counter of the batched engine's precompiled walk).
 struct PairingCounters {
   uint64_t pairings = 0;
   uint64_t precomp_pairings = 0;

@@ -254,47 +254,6 @@ Fp2Elem MillerLoop(const Curve& curve, const Fp2& fp2, const BigInt& order,
   return f;
 }
 
-Fp2Elem MultiMillerLoop(const Curve& curve, const Fp2& fp2,
-                        const BigInt& order,
-                        const std::vector<PairingInput>& pairs,
-                        size_t* loops_executed) {
-  struct PairState {
-    LoopCtx ctx;
-    const AffinePoint* base;
-    JacobianPoint t;
-  };
-  std::vector<PairState> live;
-  live.reserve(pairs.size());
-  for (const PairingInput& pair : pairs) {
-    SLOC_CHECK(pair.a != nullptr && pair.b != nullptr);
-    if (pair.a->infinity || pair.b->infinity) continue;
-    live.push_back(PairState{MakeCtx(curve, fp2, *pair.b, pair.invert),
-                             pair.a, curve.ToJacobian(*pair.a)});
-  }
-  if (loops_executed != nullptr) *loops_executed = live.size();
-  Fp2Elem f = fp2.One();
-  if (live.empty()) return f;
-
-  Fp2Elem tmp;
-  for (size_t i = order.BitLength() - 1; i-- > 0;) {
-    fp2.Sqr(f, &tmp);
-    f = tmp;
-    for (PairState& s : live) {
-      Fp2Elem line = DoubleStep(s.ctx, &s.t);
-      fp2.Mul(f, line, &tmp);
-      f = tmp;
-    }
-    if (order.Bit(i)) {
-      for (PairState& s : live) {
-        Fp2Elem line = AddStep(s.ctx, *s.base, &s.t);
-        fp2.Mul(f, line, &tmp);
-        f = tmp;
-      }
-    }
-  }
-  return f;
-}
-
 MillerLineTable PrecompileMillerLines(const Curve& curve,
                                       const BigInt& order,
                                       const AffinePoint& a) {
@@ -316,21 +275,23 @@ MillerLineTable PrecompileMillerLines(const Curve& curve,
   return table;
 }
 
-namespace {
-
-/// Precompiled-chain evaluation state: the stored lines plus the
-/// distorted coordinates they are substituted at. The public scratch
-/// type owns the buffer so workers can reuse it across queries.
-using PrecompiledPairState = PairingScratch::EvalUnit;
-
-/// Shared walker for the precompiled multi-pairing variants: both the
-/// AffinePoint- and coordinate-input entry points reduce their pairs to
-/// PrecompiledPairState and run exactly this loop, which is what makes
-/// the two bit-identical on the same points.
-Fp2Elem WalkPrecompiledSchedule(const Curve& curve, const Fp2& fp2,
-                                const BigInt& order,
-                                const std::vector<PrecompiledPairState>& live,
-                                size_t* loops_executed) {
+Fp2Elem MultiMillerLoopCoords(
+    const Curve& curve, const Fp2& fp2, const BigInt& order,
+    const std::vector<PrecompiledPairingCoords>& pairs,
+    PairingScratch* scratch, size_t* loops_executed) {
+  // Precompiled-chain evaluation state: the stored lines plus the
+  // distorted coordinates they are substituted at. The scratch owns the
+  // buffer so workers can reuse it across queries.
+  using PrecompiledPairState = PairingScratch::EvalUnit;
+  std::vector<PrecompiledPairState>& live = scratch->live;
+  live.clear();
+  live.reserve(pairs.size());
+  for (const PrecompiledPairingCoords& pair : pairs) {
+    SLOC_CHECK(pair.table != nullptr);
+    if (pair.skip || pair.table->trivial()) continue;
+    live.push_back(PrecompiledPairState{&pair.table->lines(), pair.xq,
+                                        pair.y_im});
+  }
   const Fp& fp = curve.fp();
   if (loops_executed != nullptr) *loops_executed = live.size();
   Fp2Elem f = fp2.One();
@@ -374,53 +335,6 @@ Fp2Elem WalkPrecompiledSchedule(const Curve& curve, const Fp2& fp2,
     }
   }
   return f;
-}
-
-}  // namespace
-
-Fp2Elem MultiMillerLoopPrecompiled(
-    const Curve& curve, const Fp2& fp2, const BigInt& order,
-    const std::vector<PrecompiledPairingInput>& pairs,
-    size_t* loops_executed) {
-  const Fp& fp = curve.fp();
-  std::vector<PrecompiledPairState> live;
-  live.reserve(pairs.size());
-  for (const PrecompiledPairingInput& pair : pairs) {
-    SLOC_CHECK(pair.table != nullptr && pair.b != nullptr);
-    if (pair.table->trivial() || pair.b->infinity) continue;
-    PrecompiledPairState s;
-    s.lines = &pair.table->lines();
-    fp.Neg(pair.b->x, &s.xq);
-    s.y_im = pair.b->y;
-    if (pair.invert) fp.Neg(pair.b->y, &s.y_im);
-    live.push_back(std::move(s));
-  }
-  return WalkPrecompiledSchedule(curve, fp2, order, live, loops_executed);
-}
-
-Fp2Elem MultiMillerLoopCoords(
-    const Curve& curve, const Fp2& fp2, const BigInt& order,
-    const std::vector<PrecompiledPairingCoords>& pairs,
-    size_t* loops_executed) {
-  PairingScratch scratch;
-  return MultiMillerLoopCoords(curve, fp2, order, pairs, &scratch,
-                               loops_executed);
-}
-
-Fp2Elem MultiMillerLoopCoords(
-    const Curve& curve, const Fp2& fp2, const BigInt& order,
-    const std::vector<PrecompiledPairingCoords>& pairs,
-    PairingScratch* scratch, size_t* loops_executed) {
-  std::vector<PrecompiledPairState>& live = scratch->live;
-  live.clear();
-  live.reserve(pairs.size());
-  for (const PrecompiledPairingCoords& pair : pairs) {
-    SLOC_CHECK(pair.table != nullptr);
-    if (pair.skip || pair.table->trivial()) continue;
-    live.push_back(PrecompiledPairState{&pair.table->lines(), pair.xq,
-                                        pair.y_im});
-  }
-  return WalkPrecompiledSchedule(curve, fp2, order, live, loops_executed);
 }
 
 Fp2Elem FinalExponentiation(const Fp2& fp2, const Fp2Elem& f,

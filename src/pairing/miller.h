@@ -6,17 +6,16 @@
 // exponentiation (p^2-1)/N = (p-1)*c, so the loop uses denominator
 // elimination and scales line values by arbitrary F_p* constants.
 //
-// Three evaluation strategies share the same line formulas:
-//  1. MillerLoop        — one pair, the reference path.
-//  2. MultiMillerLoop   — many pairs in one loop over the order bits,
-//     sharing the f^2 squaring chain and the final exponentiation.
-//  3. PrecompileMillerLines + MultiMillerLoopPrecompiled — the Miller
-//     chain of a *fixed* first argument is run once and its line
-//     coefficients stored; later evaluations only substitute the other
-//     point's distorted coordinates (2 F_p muls per line instead of a
-//     full point-arithmetic step).
+// Two evaluation strategies share the same line formulas:
+//  1. MillerLoop — one pair, the reference path.
+//  2. PrecompileMillerLines + MultiMillerLoopCoords — the Miller chain
+//     of a *fixed* first argument is run once and its line coefficients
+//     stored; later evaluations of many pairs share one pass over the
+//     order bits (one f^2 squaring per bit in total) and only substitute
+//     the other point's distorted coordinates (2 F_p muls per line
+//     instead of a full point-arithmetic step).
 //
-// Every strategy can fold an inversion into the loop for free: because
+// Both strategies can fold an inversion into the loop for free: because
 // e(A, -B) = e(A, B)^-1 and phi(-B) = (-x_B, -i*y_B), flipping the sign
 // of the evaluation point's y accumulates the *inverse* of a pairing
 // without any Fp2 inversion. The HVE query ratio uses exactly this.
@@ -38,30 +37,6 @@ namespace sloc {
 Fp2Elem MillerLoop(const Curve& curve, const Fp2& fp2, const BigInt& order,
                    const AffinePoint& a, const AffinePoint& b);
 
-/// One (A, B) pair of a multi-pairing. `invert` accumulates e(A, B)^-1
-/// (the evaluation point becomes phi(-B)). Pointed-to points must outlive
-/// the call; pairs where either point is the identity contribute 1 and
-/// cost nothing.
-struct PairingInput {
-  const AffinePoint* a = nullptr;
-  const AffinePoint* b = nullptr;
-  bool invert = false;
-};
-
-/// Shared-squaring multi-Miller loop: accumulates the line functions of
-/// every pair inside ONE pass over the order bits — a single fp2.Sqr(f)
-/// per bit total, instead of one per pair — and returns the combined
-/// un-exponentiated Miller value prod_k f_{N,A_k}(phi(+-B_k)). Apply
-/// FinalExponentiation once to get prod_k e(A_k, B_k)^{+-1}.
-///
-/// `loops_executed` (optional) receives the number of pairs actually
-/// evaluated, i.e. excluding identity-short-circuited ones — this is what
-/// the pairing counters should be charged with.
-Fp2Elem MultiMillerLoop(const Curve& curve, const Fp2& fp2,
-                        const BigInt& order,
-                        const std::vector<PairingInput>& pairs,
-                        size_t* loops_executed = nullptr);
-
 /// One precompiled line: evaluated at phi(B) = (xq, i*yq_im) it equals
 /// (c_x * xq + c_0) + (c_y * yq_im) i. Steps that contribute no line
 /// (identity tangents, verticals) are stored as the constant 1.
@@ -73,7 +48,7 @@ struct MillerLine {
 
 /// The full Miller chain of one fixed first argument A, flattened in
 /// execution order: for each bit below the top one doubling line, plus
-/// one addition line when the order bit is set. MultiMillerLoopPrecompiled
+/// one addition line when the order bit is set. MultiMillerLoopCoords
 /// walks the same schedule, so no per-line tags are needed.
 class MillerLineTable {
  public:
@@ -95,14 +70,6 @@ class MillerLineTable {
 MillerLineTable PrecompileMillerLines(const Curve& curve,
                                       const BigInt& order,
                                       const AffinePoint& a);
-
-/// One pair of a precompiled multi-pairing: the table of the fixed side
-/// plus the variable point it is evaluated at (`invert` as above).
-struct PrecompiledPairingInput {
-  const MillerLineTable* table = nullptr;
-  const AffinePoint* b = nullptr;
-  bool invert = false;
-};
 
 /// One pair of a precompiled multi-pairing whose evaluation point is
 /// supplied as already-distorted coordinates: xq = -x_B and y_im = the
@@ -137,23 +104,11 @@ struct PairingScratch {
 
 /// Shared-squaring evaluation of precompiled chains: per pair and line
 /// only the substitution (c_x * xq + c_0) + (c_y * yq_im) i and one
-/// fp2.Mul remain. Trivial tables and identity evaluation points
-/// contribute 1; `loops_executed` counts the pairs actually evaluated.
-Fp2Elem MultiMillerLoopPrecompiled(
-    const Curve& curve, const Fp2& fp2, const BigInt& order,
-    const std::vector<PrecompiledPairingInput>& pairs,
-    size_t* loops_executed = nullptr);
-
-/// MultiMillerLoopPrecompiled over pre-distorted coordinates: identical
-/// schedule walk and operation order, so the result is bit-identical to
-/// the AffinePoint-input variant on the same points.
-Fp2Elem MultiMillerLoopCoords(
-    const Curve& curve, const Fp2& fp2, const BigInt& order,
-    const std::vector<PrecompiledPairingCoords>& pairs,
-    size_t* loops_executed = nullptr);
-
-/// MultiMillerLoopCoords with caller-provided scratch: bit-identical
-/// result, no heap allocation once the scratch is warm.
+/// fp2.Mul remain, and the f^2 squaring is paid once per order bit for
+/// all pairs. Returns the combined un-exponentiated Miller value; apply
+/// FinalExponentiation once to get the product of the pairings. Skipped
+/// pairs and trivial tables contribute 1; `loops_executed` counts the
+/// pairs actually evaluated. No heap allocation once `scratch` is warm.
 Fp2Elem MultiMillerLoopCoords(
     const Curve& curve, const Fp2& fp2, const BigInt& order,
     const std::vector<PrecompiledPairingCoords>& pairs,

@@ -119,7 +119,8 @@ TEST_F(BatchEngineTest, BatchedMatchesReferenceAcrossConfigurations) {
 TEST_F(BatchEngineTest, StatsSurfaceQueriesAndCacheTraffic) {
   // The observability counters: queries are deterministic and engine-
   // independent; cache hit/miss traffic reflects the precompiled-token
-  // LRU per alert (and is zero for engines that never precompile).
+  // LRU per alert (and is zero for the reference engine, which never
+  // precompiles).
   ServiceProvider::Options options;
   options.engine = ServiceProvider::QueryEngine::kReference;
   auto reference = MakeProvider(options);
@@ -152,18 +153,6 @@ TEST_F(BatchEngineTest, StatsSurfaceQueriesAndCacheTraffic) {
   EXPECT_EQ(decoded.queries, second.stats.queries);
   EXPECT_EQ(decoded.token_cache_hits, second.stats.token_cache_hits);
   EXPECT_EQ(decoded.token_cache_misses, second.stats.token_cache_misses);
-}
-
-TEST_F(BatchEngineTest, BatchedAgreesWithPrecompiledEngine) {
-  ServiceProvider::Options options;
-  options.engine = ServiceProvider::QueryEngine::kPrecompiled;
-  auto precompiled = MakeProvider(options);
-  options.engine = ServiceProvider::QueryEngine::kBatched;
-  auto batched = MakeProvider(options);
-  auto a = precompiled->ProcessAlert(tokens_).value();
-  auto b = batched->ProcessAlert(tokens_).value();
-  EXPECT_EQ(a.notified_users, b.notified_users);
-  EXPECT_EQ(a.stats.pairings, b.stats.pairings);
 }
 
 TEST_F(BatchEngineTest, TokenCacheEvictionPreservesMatchResults) {

@@ -181,58 +181,58 @@ TEST_F(HveTest, CiphertextsAreRandomized) {
   EXPECT_FALSE(group_->curve().Equal(a.c0, b.c0));
 }
 
-TEST_F(HveTest, MultiPairingAgreesWithQueryOnMatch) {
-  hve::Token tk = hve::GenToken(*group_, keys_.sk, "01**1*", rand_).value();
-  hve::Ciphertext ct = EncryptIndex("010010");
-  Fp2Elem slow = hve::Query(*group_, tk, ct).value();
-  Fp2Elem fast = hve::QueryMultiPairing(*group_, tk, ct).value();
-  EXPECT_TRUE(group_->GtEqual(slow, fast));
-  EXPECT_TRUE(group_->GtEqual(fast, marker_));
-}
-
-TEST_F(HveTest, MultiPairingAgreesWithQueryOnMismatch) {
-  // Both paths must recover the *same* garbage on a non-match (the
-  // optimization is an algebraic identity, not an approximation).
-  hve::Token tk = hve::GenToken(*group_, keys_.sk, "11**1*", rand_).value();
-  hve::Ciphertext ct = EncryptIndex("010010");
-  Fp2Elem slow = hve::Query(*group_, tk, ct).value();
-  Fp2Elem fast = hve::QueryMultiPairing(*group_, tk, ct).value();
-  EXPECT_TRUE(group_->GtEqual(slow, fast));
-  EXPECT_FALSE(group_->GtEqual(fast, marker_));
-}
-
-TEST_F(HveTest, MultiPairingRandomizedAgreement) {
-  Rng rng(1234);
-  for (int iter = 0; iter < 8; ++iter) {
-    std::string index(kWidth, '0');
-    for (auto& c : index) c = rng.NextBool() ? '1' : '0';
-    std::string pattern(kWidth, '*');
-    for (auto& c : pattern) {
-      double r = rng.NextDouble();
-      c = r < 0.5 ? '*' : (r < 0.75 ? '0' : '1');
-    }
-    hve::Token tk = hve::GenToken(*group_, keys_.sk, pattern, rand_).value();
-    hve::Ciphertext ct = EncryptIndex(index);
-    EXPECT_TRUE(group_->GtEqual(
-        hve::Query(*group_, tk, ct).value(),
-        hve::QueryMultiPairing(*group_, tk, ct).value()))
-        << pattern << " vs " << index;
+TEST_F(HveTest, MakeEvalViewRejectsWrongWidth) {
+  hve::Token tk = hve::GenToken(*group_, keys_.sk, "0*1*1*", rand_).value();
+  hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, tk);
+  const hve::EvalLayout layout = hve::MakeEvalLayout(kWidth, {&ptk});
+  hve::Ciphertext short_c1 = EncryptIndex("010110");
+  short_c1.c1.pop_back();
+  hve::Ciphertext short_c2 = EncryptIndex("010110");
+  short_c2.c2.pop_back();
+  for (const hve::Ciphertext* ct : {&short_c1, &short_c2}) {
+    EXPECT_EQ(hve::MakeEvalView(*group_, layout, *ct).status().code(),
+              StatusCode::kInvalidArgument);
+    hve::EvalView view;
+    EXPECT_EQ(hve::MakeEvalView(*group_, layout, *ct, &view).code(),
+              StatusCode::kInvalidArgument);
   }
 }
 
-TEST_F(HveTest, MultiPairingCountsLogicalPairings) {
-  hve::Token tk = hve::GenToken(*group_, keys_.sk, "0***1*", rand_).value();
-  hve::Ciphertext ct = EncryptIndex("010010");
-  group_->ResetCounters();
-  (void)hve::QueryMultiPairing(*group_, tk, ct).value();
-  EXPECT_EQ(group_->counters().pairings, 2 * 2 + 1);
-}
+TEST_F(HveTest, ViewQueryRejectsMismatchedLayoutAndMalformedToken) {
+  hve::Token tk = hve::GenToken(*group_, keys_.sk, "0*1*1*", rand_).value();
+  const hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, tk);
+  const hve::EvalLayout layout = hve::MakeEvalLayout(kWidth, {&ptk});
+  const hve::EvalView view =
+      hve::MakeEvalView(*group_, layout, EncryptIndex("010110")).value();
+  hve::QueryScratch scratch;
+  ASSERT_TRUE(
+      hve::QueryMillerPrecompiledView(*group_, ptk, layout, view, &scratch)
+          .ok());
 
-TEST_F(HveTest, MultiPairingValidatesArity) {
-  hve::Token tk = hve::GenToken(*group_, keys_.sk, "010110", rand_).value();
-  hve::Ciphertext ct = EncryptIndex("010110");
-  ct.c2.pop_back();
-  EXPECT_FALSE(hve::QueryMultiPairing(*group_, tk, ct).ok());
+  // A layout built for another width than the token's pattern.
+  hve::EvalLayout wide = layout;
+  wide.width = kWidth + 1;
+  EXPECT_EQ(hve::QueryMillerPrecompiledView(*group_, ptk, wide, view,
+                                            &scratch)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // |k1|, |k2| or |positions| != |J| (here |J| = 3).
+  hve::PrecompiledToken short_k1 = ptk;
+  short_k1.k1.pop_back();
+  hve::PrecompiledToken short_k2 = ptk;
+  short_k2.k2.pop_back();
+  hve::PrecompiledToken short_positions = ptk;
+  short_positions.positions.pop_back();
+  for (const hve::PrecompiledToken* bad :
+       {&short_k1, &short_k2, &short_positions}) {
+    EXPECT_EQ(hve::QueryMillerPrecompiledView(*group_, *bad, layout, view,
+                                              &scratch)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(HveTest, WrongKeyTokenDoesNotMatch) {

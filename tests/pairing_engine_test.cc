@@ -1,8 +1,10 @@
-// Property tests for the multi-pairing engine: shared-squaring
-// MultiMillerLoop vs products of individual Pair() results, precompiled
-// line tables vs the live Miller chain, PrecompiledToken evaluation vs
-// the reference Query across random patterns and widths, and the
-// executed-loop / precompiled-hit counter accounting.
+// Property tests for the precompiled query path the batched engine runs:
+// precompiled line tables walked by the shared-squaring
+// MultiMillerLoopCoords vs products of individual MillerLoop pairings,
+// PrecompiledToken evaluation through a slim EvalView vs the reference
+// Query across random patterns and widths, batched vs per-entry final
+// exponentiation, and the executed-loop / precompiled-hit counter
+// accounting.
 
 #include <gtest/gtest.h>
 
@@ -42,90 +44,110 @@ class PairingEngineTest : public ::testing::Test {
                        group_->gen());
   }
 
+  /// phi(B) (or phi(-B) when `invert`) as pre-distorted coordinates
+  /// for `table`; an identity B is a skipped pair.
+  static PrecompiledPairingCoords CoordsAt(const MillerLineTable& table,
+                                           const AffinePoint& b,
+                                           bool invert) {
+    const Fp& fp = group_->fp();
+    PrecompiledPairingCoords pair;
+    pair.table = &table;
+    pair.skip = b.infinity;
+    if (b.infinity) return pair;
+    fp.Neg(b.x, &pair.xq);
+    pair.y_im = b.y;
+    if (invert) fp.Neg(b.y, &pair.y_im);
+    return pair;
+  }
+
+  /// Query's G_T element along the batched engine's path: slim view,
+  /// precompiled Miller ratio, one final exponentiation, C' * ratio^-1.
+  static Fp2Elem ViewQuery(const hve::PrecompiledToken& ptk,
+                           const hve::Ciphertext& ct,
+                           hve::QueryScratch* scratch) {
+    const hve::EvalLayout layout =
+        hve::MakeEvalLayout(ptk.pattern.size(), {&ptk});
+    const hve::EvalView view =
+        hve::MakeEvalView(*group_, layout, ct).value();
+    Fp2Elem ratio =
+        hve::QueryMillerPrecompiledView(*group_, ptk, layout, view, scratch)
+            .value();
+    ratio = FinalExponentiation(group_->fp2(), ratio,
+                                group_->params().cofactor);
+    return group_->GtMul(ct.c_prime, group_->GtInv(ratio));
+  }
+
   static PairingGroup* group_;
 };
 
 PairingGroup* PairingEngineTest::group_ = nullptr;
 
-TEST_F(PairingEngineTest, MultiMillerLoopMatchesPairProduct) {
+// One shared-squaring walk over several precompiled chains must equal the
+// product of the individual pairings (inverted where requested), each
+// from the live MillerLoop plus a final exponentiation.
+TEST_F(PairingEngineTest, PrecompiledLinesMatchLiveChain) {
   RandFn rand = TestRand(101);
+  const BigInt& n = group_->params().n;
+  const BigInt& cofactor = group_->params().cofactor;
+  PairingScratch scratch;
   for (size_t count = 1; count <= 5; ++count) {
     std::vector<AffinePoint> as, bs;
-    std::vector<bool> inverts;
+    std::vector<MillerLineTable> tables;
     for (size_t k = 0; k < count; ++k) {
       as.push_back(RandomElement(rand));
       bs.push_back(RandomElement(rand));
-      inverts.push_back((rand() & 1) != 0);
+      tables.push_back(PrecompileMillerLines(group_->curve(), n, as[k]));
+      EXPECT_FALSE(tables[k].trivial());
     }
-    std::vector<PairingInput> pairs;
+    std::vector<PrecompiledPairingCoords> pairs;
     Fp2Elem expected = group_->GtOne();
     for (size_t k = 0; k < count; ++k) {
-      pairs.push_back(PairingInput{&as[k], &bs[k], inverts[k]});
-      Fp2Elem e = group_->Pair(as[k], bs[k]);
-      expected = group_->GtMul(expected, inverts[k] ? group_->GtInv(e) : e);
+      const bool invert = (rand() & 1) != 0;
+      pairs.push_back(CoordsAt(tables[k], bs[k], invert));
+      Fp2Elem e = FinalExponentiation(
+          group_->fp2(),
+          MillerLoop(group_->curve(), group_->fp2(), n, as[k], bs[k]),
+          cofactor);
+      expected = group_->GtMul(expected, invert ? group_->GtInv(e) : e);
     }
     size_t executed = 0;
-    Fp2Elem miller = MultiMillerLoop(group_->curve(), group_->fp2(),
-                                     group_->params().n, pairs, &executed);
-    Fp2Elem got = FinalExponentiation(group_->fp2(), miller,
-                                      group_->params().cofactor);
+    Fp2Elem miller = MultiMillerLoopCoords(group_->curve(), group_->fp2(),
+                                           n, pairs, &scratch, &executed);
     EXPECT_EQ(executed, count);
+    Fp2Elem got = FinalExponentiation(group_->fp2(), miller, cofactor);
     EXPECT_TRUE(group_->GtEqual(got, expected)) << "count " << count;
   }
 }
 
-TEST_F(PairingEngineTest, MultiMillerLoopSkipsIdentityPairs) {
+TEST_F(PairingEngineTest, MultiMillerLoopCoordsSkipsIdentityPairs) {
   RandFn rand = TestRand(102);
+  const BigInt& n = group_->params().n;
   AffinePoint a = RandomElement(rand);
   AffinePoint b = RandomElement(rand);
   AffinePoint inf = group_->curve().Infinity();
-  std::vector<PairingInput> pairs = {
-      PairingInput{&a, &b, false},
-      PairingInput{&inf, &b, false},  // free
-      PairingInput{&a, &inf, true},   // free
+  MillerLineTable table = PrecompileMillerLines(group_->curve(), n, a);
+  MillerLineTable trivial = PrecompileMillerLines(group_->curve(), n, inf);
+  EXPECT_TRUE(trivial.trivial());
+  std::vector<PrecompiledPairingCoords> pairs = {
+      CoordsAt(table, b, false),
+      CoordsAt(trivial, b, false),  // free: identity table
+      CoordsAt(table, inf, true),   // free: identity evaluation point
   };
+  PairingScratch scratch;
   size_t executed = 0;
-  Fp2Elem miller = MultiMillerLoop(group_->curve(), group_->fp2(),
-                                   group_->params().n, pairs, &executed);
+  Fp2Elem miller = MultiMillerLoopCoords(group_->curve(), group_->fp2(), n,
+                                         pairs, &scratch, &executed);
   EXPECT_EQ(executed, 1u);
   Fp2Elem got = FinalExponentiation(group_->fp2(), miller,
                                     group_->params().cofactor);
   EXPECT_TRUE(group_->GtEqual(got, group_->Pair(a, b)));
 
-  // All-identity input never touches the loop and yields 1.
-  std::vector<PairingInput> none = {PairingInput{&inf, &b, false}};
-  Fp2Elem one = MultiMillerLoop(group_->curve(), group_->fp2(),
-                                group_->params().n, none, &executed);
+  // All-skipped input never touches the loop and yields 1.
+  std::vector<PrecompiledPairingCoords> none = {CoordsAt(trivial, b, false)};
+  Fp2Elem one = MultiMillerLoopCoords(group_->curve(), group_->fp2(), n,
+                                      none, &scratch, &executed);
   EXPECT_EQ(executed, 0u);
   EXPECT_TRUE(group_->fp2().IsOne(one));
-}
-
-TEST_F(PairingEngineTest, PrecompiledLinesMatchLiveChain) {
-  RandFn rand = TestRand(103);
-  for (int iter = 0; iter < 4; ++iter) {
-    AffinePoint a = RandomElement(rand);
-    AffinePoint b = RandomElement(rand);
-    const bool invert = (iter & 1) != 0;
-    MillerLineTable table =
-        PrecompileMillerLines(group_->curve(), group_->params().n, a);
-    EXPECT_FALSE(table.trivial());
-    std::vector<PrecompiledPairingInput> pairs = {
-        PrecompiledPairingInput{&table, &b, invert}};
-    size_t executed = 0;
-    Fp2Elem miller =
-        MultiMillerLoopPrecompiled(group_->curve(), group_->fp2(),
-                                   group_->params().n, pairs, &executed);
-    EXPECT_EQ(executed, 1u);
-    Fp2Elem got = FinalExponentiation(group_->fp2(), miller,
-                                      group_->params().cofactor);
-    Fp2Elem e = group_->Pair(a, b);
-    EXPECT_TRUE(group_->GtEqual(got, invert ? group_->GtInv(e) : e))
-        << "iter " << iter;
-  }
-  // Identity table is trivial and free.
-  MillerLineTable trivial = PrecompileMillerLines(
-      group_->curve(), group_->params().n, group_->curve().Infinity());
-  EXPECT_TRUE(trivial.trivial());
 }
 
 // PrecompiledToken evaluation must agree with the reference Query (the
@@ -134,6 +156,7 @@ TEST_F(PairingEngineTest, PrecompiledLinesMatchLiveChain) {
 TEST_F(PairingEngineTest, PrecompiledTokenMatchesQueryAcrossWidths) {
   Rng rng(777);
   RandFn rand = TestRand(104);
+  hve::QueryScratch scratch;
   for (size_t width : {size_t(1), size_t(2), size_t(3), size_t(5),
                        size_t(8), size_t(16), size_t(32)}) {
     hve::KeyPair keys = hve::Setup(*group_, width, rand).value();
@@ -162,33 +185,32 @@ TEST_F(PairingEngineTest, PrecompiledTokenMatchesQueryAcrossWidths) {
           hve::GenToken(*group_, keys.sk, pattern, rand).value();
       hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, tk);
       Fp2Elem reference = hve::Query(*group_, tk, ct).value();
-      Fp2Elem multi = hve::QueryMultiPairing(*group_, tk, ct).value();
-      Fp2Elem precomp = hve::QueryPrecompiled(*group_, ptk, ct).value();
-      EXPECT_TRUE(group_->GtEqual(reference, multi))
-          << "width " << width << " pattern " << pattern;
-      EXPECT_TRUE(group_->GtEqual(reference, precomp))
+      Fp2Elem view = ViewQuery(ptk, ct, &scratch);
+      EXPECT_TRUE(group_->GtEqual(reference, view))
           << "width " << width << " pattern " << pattern;
       EXPECT_EQ(hve::Matches(*group_, tk, ct, marker).value(),
-                hve::MatchesPrecompiled(*group_, ptk, ct, marker).value());
+                group_->GtEqual(view, marker));
     }
   }
 }
 
 TEST_F(PairingEngineTest, PrecompiledTokenReuseAcrossCiphertexts) {
-  // One precompilation, many evaluations: the alert-scan pattern.
+  // One precompilation and one warm scratch, many evaluations: the
+  // alert-scan pattern.
   RandFn rand = TestRand(105);
   const size_t width = 6;
   hve::KeyPair keys = hve::Setup(*group_, width, rand).value();
   Fp2Elem marker = group_->RandomGt(rand);
   hve::Token tk = hve::GenToken(*group_, keys.sk, "01**1*", rand).value();
   hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, tk);
+  hve::QueryScratch scratch;
   const std::vector<std::string> indexes = {"010010", "010110", "110011",
                                             "011111"};
   for (const std::string& index : indexes) {
     hve::Ciphertext ct =
         hve::Encrypt(*group_, keys.pk, index, marker, rand).value();
     EXPECT_EQ(hve::Matches(*group_, tk, ct, marker).value(),
-              hve::MatchesPrecompiled(*group_, ptk, ct, marker).value())
+              group_->GtEqual(ViewQuery(ptk, ct, &scratch), marker))
         << index;
   }
 }
@@ -229,8 +251,8 @@ TEST_F(PairingEngineTest, BatchFinalExponentiationBitIdentical) {
   EXPECT_TRUE(none.empty());
 }
 
-// The raw Miller-ratio query plus a (possibly batched) final
-// exponentiation must reproduce QueryPrecompiled / Query exactly.
+// The raw view Miller ratio plus a final exponentiation — per entry or
+// batched, bit-identically — must reproduce Query exactly.
 TEST_F(PairingEngineTest, QueryMillerPlusFinalExpEqualsQuery) {
   RandFn rand = TestRand(302);
   const size_t width = 6;
@@ -238,30 +260,29 @@ TEST_F(PairingEngineTest, QueryMillerPlusFinalExpEqualsQuery) {
   Fp2Elem marker = group_->RandomGt(rand);
   hve::Token tk = hve::GenToken(*group_, keys.sk, "0*1*10", rand).value();
   hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, tk);
+  const hve::EvalLayout layout = hve::MakeEvalLayout(width, {&ptk});
   const Fp2& fp2 = group_->fp2();
-  // The two raw paths run the Miller chain on opposite arguments
-  // (f_{N,C}(phi(K)) vs the precompiled f_{N,K}(phi(C))), so their
-  // un-exponentiated values differ; both must land on Query's element
-  // after the (batched) final exponentiation.
-  std::vector<Fp2Elem> ratios_p, ratios_m;
-  std::vector<Fp2Elem> expected;
-  std::vector<Fp2Elem> c_primes;
+  const BigInt& cofactor = group_->params().cofactor;
+  hve::QueryScratch scratch;
+  std::vector<Fp2Elem> ratios, expected, c_primes;
   for (const char* index : {"001110", "011010", "010101"}) {
     hve::Ciphertext ct =
         hve::Encrypt(*group_, keys.pk, index, marker, rand).value();
     expected.push_back(hve::Query(*group_, tk, ct).value());
-    ratios_p.push_back(hve::QueryMillerPrecompiled(*group_, ptk, ct).value());
-    ratios_m.push_back(
-        hve::QueryMillerMultiPairing(*group_, tk, ct).value());
+    hve::EvalView view = hve::MakeEvalView(*group_, layout, ct).value();
+    ratios.push_back(hve::QueryMillerPrecompiledView(*group_, ptk, layout,
+                                                     view, &scratch)
+                         .value());
     c_primes.push_back(ct.c_prime);
   }
-  BatchFinalExponentiation(fp2, group_->params().cofactor, &ratios_p);
-  BatchFinalExponentiation(fp2, group_->params().cofactor, &ratios_m);
+  std::vector<Fp2Elem> batched = ratios;
+  BatchFinalExponentiation(fp2, cofactor, &batched, &scratch.pairing);
   for (size_t i = 0; i < expected.size(); ++i) {
-    Fp2Elem rec_p = group_->GtMul(c_primes[i], group_->GtInv(ratios_p[i]));
-    Fp2Elem rec_m = group_->GtMul(c_primes[i], group_->GtInv(ratios_m[i]));
-    EXPECT_TRUE(group_->GtEqual(rec_p, expected[i])) << "ct " << i;
-    EXPECT_TRUE(group_->GtEqual(rec_m, expected[i])) << "ct " << i;
+    Fp2Elem single = FinalExponentiation(fp2, ratios[i], cofactor);
+    EXPECT_EQ(batched[i].re, single.re) << "ct " << i;
+    EXPECT_EQ(batched[i].im, single.im) << "ct " << i;
+    Fp2Elem rec = group_->GtMul(c_primes[i], group_->GtInv(batched[i]));
+    EXPECT_TRUE(group_->GtEqual(rec, expected[i])) << "ct " << i;
   }
 }
 
@@ -297,28 +318,42 @@ TEST_F(PairingEngineTest, CountersChargeOnlyExecutedLoops) {
   hve::Ciphertext ct =
       hve::Encrypt(*group_, keys.pk, "0101", marker, rand).value();
   hve::Token tk = hve::GenToken(*group_, keys.sk, "01*1", rand).value();
+  hve::QueryScratch scratch;
 
-  // Healthy token: all 2*3+1 loops run; none from tables.
+  // The reference Query charges every one of the 2*3+1 pairings; none
+  // come from tables.
   group_->ResetCounters();
-  (void)hve::QueryMultiPairing(*group_, tk, ct).value();
+  (void)hve::Query(*group_, tk, ct).value();
   EXPECT_EQ(group_->counters().pairings, 7u);
   EXPECT_EQ(group_->counters().precomp_pairings, 0u);
 
-  // Identity token components short-circuit: their loops are free and
-  // must not be charged.
+  // Healthy token through the view path: all 7 loops run from tables
+  // and charge both counters.
+  hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, tk);
+  group_->ResetCounters();
+  (void)ViewQuery(ptk, ct, &scratch);
+  EXPECT_EQ(group_->counters().pairings, 7u);
+  EXPECT_EQ(group_->counters().precomp_pairings, 7u);
+
+  // Identity token components compile to trivial tables: their loops
+  // are free and must not be charged.
   hve::Token maimed = tk;
   maimed.k1[1] = group_->curve().Infinity();
   maimed.k2[2] = group_->curve().Infinity();
+  hve::PrecompiledToken maimed_ptk = hve::PrecompileToken(*group_, maimed);
+  EXPECT_TRUE(maimed_ptk.k1[1].trivial());
   group_->ResetCounters();
-  (void)hve::QueryMultiPairing(*group_, maimed, ct).value();
-  EXPECT_EQ(group_->counters().pairings, 5u);
-
-  // The precompiled path charges both counters with executed loops.
-  hve::PrecompiledToken ptk = hve::PrecompileToken(*group_, maimed);
-  group_->ResetCounters();
-  (void)hve::QueryPrecompiled(*group_, ptk, ct).value();
+  (void)ViewQuery(maimed_ptk, ct, &scratch);
   EXPECT_EQ(group_->counters().pairings, 5u);
   EXPECT_EQ(group_->counters().precomp_pairings, 5u);
+
+  // An identity ciphertext column is a skipped pair: also free.
+  hve::Ciphertext holed = ct;
+  holed.c1[0] = group_->curve().Infinity();
+  group_->ResetCounters();
+  (void)ViewQuery(ptk, holed, &scratch);
+  EXPECT_EQ(group_->counters().pairings, 6u);
+  EXPECT_EQ(group_->counters().precomp_pairings, 6u);
 }
 
 }  // namespace
